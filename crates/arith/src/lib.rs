@@ -57,7 +57,7 @@ pub(crate) mod simd_fused;
 
 pub use backend::{gemm_span, CpuBackend, GemmBackend};
 pub use mac::{input_event_index, mac_step, mac_step_tallied, sr_event_index, MacConfig, MacStage};
-pub use parallel::{default_threads, pool_execute, pool_workers, qgemm_parallel};
+pub use parallel::{default_threads, pool_execute, pool_workers, qgemm_parallel, qgemm_quantized};
 pub use qgemm::{
     qgemm, qgemm_reference, qgemm_with_offsets, qgemm_with_tier, quantize_matrix,
     quantize_matrix_tier, QGemmConfig,

@@ -15,7 +15,8 @@
 //! read-only by all tiles, rather than re-quantized per block.
 
 use crate::kernels::gemm_into;
-use crate::qgemm::{qgemm_with_offsets, quantize_matrix, QGemmConfig};
+use crate::mac::MacConfig;
+use crate::qgemm::{quantize_matrix, QGemmConfig};
 use mpt_tensor::{ShapeError, Tensor};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -151,40 +152,62 @@ pub fn qgemm_parallel(
     cfg: &QGemmConfig,
     threads: usize,
 ) -> Result<Tensor, ShapeError> {
-    let (n, k) = a.as_matrix()?;
-    let (k2, m) = b.as_matrix()?;
-    if k != k2 {
-        return Err(ShapeError::Mismatch {
-            left: a.shape().to_vec(),
-            right: b.shape().to_vec(),
-            op: "qgemm_parallel",
-        });
+    check_conforming(a, b, "qgemm_parallel")?;
+    // Identity pipelines are the plain FP32 GEMM; skip the operand
+    // copies quantization would make.
+    if cfg.is_identity() {
+        return a.matmul(b);
+    }
+    // Quantize once, with global coordinates, shared by every tile.
+    let aq = Arc::new(quantize_matrix(a, &cfg.quant_a, 0, 0));
+    let bq = quantize_matrix(b, &cfg.quant_b, 0, 0);
+    qgemm_quantized(aq, &bq, cfg, threads)
+}
+
+/// [`qgemm_parallel`] on operands **already quantized** with `cfg`'s
+/// input quantizers at global coordinates (offsets `(0, 0)`):
+/// `qgemm_parallel(a, b, cfg, t)` is exactly
+/// `qgemm_quantized(quantize(a), quantize(b), cfg, t)`.
+///
+/// The carriers go through `cfg.mac` as they are. The plain FP32 GEMM
+/// is taken only when the *whole* of `cfg` is identity: an identity
+/// MAC behind non-identity input quantizers still steps through
+/// [`crate::mac_step`], exactly as [`crate::qgemm()`] does.
+///
+/// With `threads > 1` the call submits tiles to the worker pool and
+/// blocks on them, so a job already running on the pool must pass
+/// `threads = 1` (see [`pool_execute`]).
+///
+/// # Errors
+///
+/// Returns [`ShapeError`] if the operands are not conforming
+/// matrices.
+pub fn qgemm_quantized(
+    aq: Arc<Tensor>,
+    bq: &Tensor,
+    cfg: &QGemmConfig,
+    threads: usize,
+) -> Result<Tensor, ShapeError> {
+    let (n, k, m) = check_conforming(&aq, bq, "qgemm_quantized")?;
+    if cfg.is_identity() {
+        return aq.matmul(bq);
     }
     let threads = threads.max(1).min(n.max(1));
-    // Fast exit: anything that degenerates to sequential execution
-    // (one thread, empty output, identity config) runs on the caller
-    // thread through the direct kernel — zero pool submissions, zero
-    // channel hops, no operand re-packing. The bench suite pins this
-    // path to within 1% of calling `qgemm` directly.
-    if threads == 1 || n == 0 || m == 0 || cfg.is_identity() {
-        return qgemm_with_offsets(a, b, cfg, 0, 0);
-    }
-
     let (tr, tc) = tile_grid(threads, n, m);
-    if tr * tc <= 1 {
-        // Degenerate one-tile grid (defensive: today `threads` is
-        // clamped so this implies `threads == 1`, but the grid policy
-        // may evolve) — same caller-thread fast exit.
-        return qgemm_with_offsets(a, b, cfg, 0, 0);
-    }
-
-    // Quantize once, with global coordinates, shared by every tile —
-    // the scoped-thread version re-quantized all of B in every block.
-    let aq = Arc::new(quantize_matrix(a, &cfg.quant_a, 0, 0));
-    let bq = Arc::new(quantize_matrix(b, &cfg.quant_b, 0, 0));
-
     let row_ranges = split_ranges(n, tr);
     let col_ranges = split_ranges(m, tc);
+    let mac = cfg.mac;
+
+    // Anything that degenerates to one tile (one thread, empty
+    // output) runs on the caller thread through the direct kernel —
+    // zero pool submissions, zero channel hops, no operand re-packing.
+    // The bench suite pins this path to within 1% of calling `qgemm`
+    // directly.
+    if row_ranges.len() * col_ranges.len() <= 1 {
+        let mut out = vec![0.0f32; n * m];
+        gemm_into(&mut out, aq.data(), bq.data(), n, k, m, &mac, 0, 0);
+        return Tensor::from_vec(vec![n, m], out);
+    }
 
     // Each column block of quantized B is packed contiguous once and
     // shared by the whole column of tiles.
@@ -202,29 +225,9 @@ pub fn qgemm_parallel(
         .collect();
 
     let (sender, receiver) = mpsc::channel::<(usize, usize, Vec<f32>)>();
-    let mac = cfg.mac;
     let tile_ids: Vec<(usize, usize)> = (0..row_ranges.len())
         .flat_map(|ri| (0..col_ranges.len()).map(move |ci| (ri, ci)))
         .collect();
-    let run_tile = |ri: usize, ci: usize, aq: &Tensor, bcol: &[f32]| {
-        let (r0, r1) = row_ranges[ri];
-        let (c0, c1) = col_ranges[ci];
-        let rh = r1 - r0;
-        let cw = c1 - c0;
-        let mut tile = vec![0.0f32; rh * cw];
-        gemm_into(
-            &mut tile,
-            &aq.data()[r0 * k..r1 * k],
-            bcol,
-            rh,
-            k,
-            cw,
-            &mac,
-            r0,
-            c0,
-        );
-        tile
-    };
     // All tiles but the last go to the pool; the caller thread
     // computes the last one itself instead of idling on the channel
     // (tiles are independent, so execution placement cannot change
@@ -234,30 +237,16 @@ pub fn qgemm_parallel(
         let aq = Arc::clone(&aq);
         let bcol = Arc::clone(&col_blocks[ci]);
         let sender = sender.clone();
-        let (r0, r1) = row_ranges[ri];
-        let (c0, c1) = col_ranges[ci];
+        let (rows, cols) = (row_ranges[ri], col_ranges[ci]);
         pool().submit(Box::new(move || {
-            let rh = r1 - r0;
-            let cw = c1 - c0;
-            let mut tile = vec![0.0f32; rh * cw];
-            gemm_into(
-                &mut tile,
-                &aq.data()[r0 * k..r1 * k],
-                &bcol,
-                rh,
-                k,
-                cw,
-                &mac,
-                r0,
-                c0,
-            );
+            let tile = run_tile(&aq, &bcol, rows, cols, &mac);
             let _ = sender.send((ri, ci, tile));
         }));
     }
     drop(sender);
 
     let mut out = vec![0.0f32; n * m];
-    let place = |ri: usize, ci: usize, tile: Vec<f32>, out: &mut Vec<f32>| {
+    let mut place = |ri: usize, ci: usize, tile: Vec<f32>| {
         let (r0, r1) = row_ranges[ri];
         let (c0, c1) = col_ranges[ci];
         let cw = c1 - c0;
@@ -266,13 +255,64 @@ pub fn qgemm_parallel(
         }
     };
     let (lri, lci) = *last;
-    let local = run_tile(lri, lci, &aq, &col_blocks[lci]);
-    place(lri, lci, local, &mut out);
+    let local = run_tile(
+        &aq,
+        &col_blocks[lci],
+        row_ranges[lri],
+        col_ranges[lci],
+        &mac,
+    );
+    place(lri, lci, local);
     for _ in 0..pooled.len() {
         let (ri, ci, tile) = receiver.recv().expect("GEMM tile worker panicked");
-        place(ri, ci, tile, &mut out);
+        place(ri, ci, tile);
     }
     Tensor::from_vec(vec![n, m], out)
+}
+
+/// `(n, k, m)` of a conforming `(n, k) × (k, m)` product.
+fn check_conforming(
+    a: &Tensor,
+    b: &Tensor,
+    op: &'static str,
+) -> Result<(usize, usize, usize), ShapeError> {
+    let (n, k) = a.as_matrix()?;
+    let (k2, m) = b.as_matrix()?;
+    if k != k2 {
+        return Err(ShapeError::Mismatch {
+            left: a.shape().to_vec(),
+            right: b.shape().to_vec(),
+            op,
+        });
+    }
+    Ok((n, k, m))
+}
+
+/// One output tile: rows `r0..r1` of quantized `A` against the packed
+/// column block `bcol` of quantized `B` (columns `c0..c1`), indexing
+/// rounding events by global coordinates.
+fn run_tile(
+    aq: &Tensor,
+    bcol: &[f32],
+    (r0, r1): (usize, usize),
+    (c0, c1): (usize, usize),
+    mac: &MacConfig,
+) -> Vec<f32> {
+    let k = aq.shape()[1];
+    let (rh, cw) = (r1 - r0, c1 - c0);
+    let mut tile = vec![0.0f32; rh * cw];
+    gemm_into(
+        &mut tile,
+        &aq.data()[r0 * k..r1 * k],
+        bcol,
+        rh,
+        k,
+        cw,
+        mac,
+        r0,
+        c0,
+    );
+    tile
 }
 
 /// Number of workers in the persistent pool (spawning it on first
@@ -284,8 +324,15 @@ pub fn pool_workers() -> usize {
 /// Runs an arbitrary job on the persistent worker pool (spawning it
 /// on first use). The job's panics are contained by the pool's
 /// workers; detect failure through whatever channel the job reports
-/// on. Used by the pipelined FPGA executor to overlap its emulated
-/// compute stage with host-side packing of the next launch.
+/// on. Used by the pipelined FPGA executor to overlap its compute
+/// stage with host-side packing of the next launch.
+///
+/// **No nested pool work:** the job must not submit work to this
+/// pool and then block on it — e.g. a multi-threaded
+/// [`qgemm_parallel`] / [`qgemm_quantized`] call, which waits for its
+/// pooled tiles. With every worker running such a job, the tiles
+/// they wait for never get a worker and the pool deadlocks. GEMMs
+/// inside a job run with `threads = 1`.
 pub fn pool_execute(job: impl FnOnce() + Send + 'static) {
     pool().submit(Box::new(job));
 }
@@ -324,6 +371,30 @@ mod tests {
                 seq,
                 "threads={threads}"
             );
+        }
+    }
+
+    #[test]
+    fn quantized_entry_matches_qgemm_on_half_identity_configs() {
+        // Inputs quantized ahead of an identity MAC must still step
+        // through `mac_step`, which saturates where the plain FP32
+        // matmul overflows to infinity.
+        use mpt_formats::{FloatFormat, Quantizer, Rounding};
+        let (a, b) = operands(9, 7, 5);
+        let (a, b) = (a.scale(2f32.powi(66)), b.scale(2f32.powi(66)));
+        let bf16 = Quantizer::float(FloatFormat::bf16(), Rounding::Nearest);
+        let cfg = QGemmConfig::new(bf16, bf16, MacConfig::fp32());
+        let aq = Arc::new(quantize_matrix(&a, &cfg.quant_a, 0, 0));
+        let bq = quantize_matrix(&b, &cfg.quant_b, 0, 0);
+        let want = qgemm(&a, &b, &cfg).unwrap();
+        assert_ne!(
+            aq.matmul(&bq).unwrap(),
+            want,
+            "operands must expose the trap"
+        );
+        for threads in [1, 2, 4] {
+            let got = qgemm_quantized(Arc::clone(&aq), &bq, &cfg, threads).unwrap();
+            assert_eq!(got, want, "threads={threads}");
         }
     }
 

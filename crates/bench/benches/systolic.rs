@@ -1,5 +1,6 @@
-//! Systolic-array simulator cost: functional simulation versus the
-//! emulation kernel it must match, and the closed-form timing model.
+//! Accelerator model cost: the launch path (`execute`, arith kernels
+//! plus closed-form timing) and the cycle-level oracle it must match,
+//! against the emulation kernel, and the closed-form timing alone.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mpt_arith::{qgemm, GemmShape, QGemmConfig};
@@ -18,9 +19,14 @@ fn bench_simulation(c: &mut Criterion) {
     for (n, m, cores) in [(4, 4, 2), (8, 8, 2), (8, 8, 10)] {
         let acc = Accelerator::new(SaConfig::new(n, m, cores).expect("valid"), 250.0);
         group.bench_with_input(
-            BenchmarkId::new("functional_sim", format!("{n}x{m}x{cores}")),
+            BenchmarkId::new("execute", format!("{n}x{m}x{cores}")),
             &acc,
             |bch, acc| bch.iter(|| acc.execute(&a, &b, &cfg).expect("conforming")),
+        );
+        group.bench_with_input(
+            BenchmarkId::new("cycle_oracle", format!("{n}x{m}x{cores}")),
+            &acc,
+            |bch, acc| bch.iter(|| acc.simulate_cycles(&a, &b, &cfg).expect("conforming")),
         );
     }
     let acc = Accelerator::new(SaConfig::new(8, 8, 4).expect("valid"), 250.0);

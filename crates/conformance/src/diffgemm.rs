@@ -9,8 +9,9 @@
 //! * the dispatched fast kernels ([`mpt_arith::qgemm()`]),
 //! * the persistent-pool tiles ([`mpt_arith::qgemm_parallel`]) at
 //!   1/2/4/8 threads,
-//! * the systolic-array simulator
-//!   ([`mpt_fpga::Accelerator::execute`]),
+//! * the accelerator's cycle-level oracle
+//!   ([`mpt_fpga::Accelerator::simulate_cycles`]) and its fast launch
+//!   path ([`mpt_fpga::Accelerator::execute`]),
 //! * the staged/cached executor
 //!   ([`mpt_fpga::PipelinedExecutor::launch`]), both on a cold
 //!   operand cache and on a warm one (the second launch replays from
@@ -124,8 +125,9 @@ pub fn degenerate_shapes() -> &'static [(usize, usize, usize)] {
 }
 
 /// Asserts `qgemm_reference ≡ qgemm ≡ qgemm (every SIMD tier) ≡
-/// qgemm_parallel(1/2/4/8) ≡ fpga::sim::execute ≡ pipelined launch
-/// (cold and warm cache)`, bit-for-bit, on the given operands.
+/// qgemm_parallel(1/2/4/8) ≡ fpga::sim::simulate_cycles ≡
+/// fpga::sim::execute ≡ pipelined launch (cold and warm cache)`,
+/// bit-for-bit, on the given operands.
 ///
 /// # Errors
 ///
@@ -179,6 +181,10 @@ pub fn check_all_paths(
     }
 
     let acc = Accelerator::new(SaConfig::new(4, 4, 2).expect("valid config"), 300.0);
+    let (oracle, _latency) = acc
+        .simulate_cycles(a, b, cfg)
+        .map_err(|e| format!("{name}: fpga cycle oracle failed: {e}"))?;
+    compare("fpga::sim::simulate_cycles (cycle oracle)", &oracle)?;
     let (fpga, _latency) = acc
         .execute(a, b, cfg)
         .map_err(|e| format!("{name}: fpga execute failed: {e}"))?;

@@ -1,11 +1,13 @@
 //! Differential GEMM conformance: `qgemm_reference` ≡ fast kernels ≡
-//! `qgemm_parallel` (1/2/4/8 threads) ≡ `fpga::sim::execute`,
-//! bit-for-bit, over the full format × rounding × shape grid.
+//! `qgemm_parallel` (1/2/4/8 threads) ≡ the FPGA cycle oracle ≡
+//! `fpga::sim::execute`, bit-for-bit, over the full format × rounding
+//! × shape grid.
 
 use conformance::{
     check_all_paths, degenerate_shapes, format_rounding_grid, standard_shapes, Corpus, DiffCase,
 };
-use mpt_arith::QGemmConfig;
+use mpt_arith::{MacConfig, QGemmConfig};
+use mpt_formats::{FloatFormat, Quantizer, Rounding};
 use proptest::prelude::*;
 
 /// The headline grid: 20 format×rounding configurations, each run
@@ -75,6 +77,44 @@ fn fp32_identity_pipeline_agrees_on_all_paths() {
             seed: 31_000 + (n * 100 + k * 10 + m) as u64,
         };
         case.run().unwrap_or_else(|e| panic!("{e}"));
+    }
+}
+
+/// Pipelines that are identity in one half only. Non-identity input
+/// quantizers in front of an identity MAC must still step through
+/// `mac_step`, not the plain FP32 matmul: the FP32 MAC saturates a
+/// product or sum past `f32::MAX`, where matmul overflows to infinity,
+/// so operands scaled by 2^63 tell the two steppings apart. The
+/// reverse — identity inputs into a quantizing MAC — must quantize in
+/// the MAC only.
+#[test]
+fn half_identity_pipelines_agree_on_all_paths() {
+    let quantizing_inputs = QGemmConfig::new(
+        Quantizer::float(FloatFormat::bf16(), Rounding::Nearest),
+        Quantizer::float(FloatFormat::bf16(), Rounding::stochastic()),
+        MacConfig::fp32(),
+    )
+    .with_seed(41);
+    let identity_inputs = QGemmConfig::new(
+        Quantizer::identity(),
+        Quantizer::identity(),
+        MacConfig::fp8_fp12_sr(),
+    )
+    .with_seed(42);
+    let huge = 2f32.powi(63);
+    for &(n, k, m) in standard_shapes() {
+        let mut corpus = Corpus::new(41_000 + (n * 100 + k * 10 + m) as u64);
+        let a = corpus.matrix(n, k, -2.0, 2.0);
+        let b = corpus.matrix(k, m, -2.0, 2.0);
+        let (a_big, b_big) = (a.scale(huge), b.scale(huge));
+        for (label, cfg, a, b) in [
+            ("bf16-inputs x fp32-mac", quantizing_inputs, &a_big, &b_big),
+            ("identity-inputs x fp8-fp12-sr-mac", identity_inputs, &a, &b),
+        ] {
+            assert!(!cfg.is_identity());
+            check_all_paths(&format!("{label} [{n}x{k}x{m}]"), a, b, &cfg)
+                .unwrap_or_else(|e| panic!("{e}"));
+        }
     }
 }
 

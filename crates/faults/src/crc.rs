@@ -6,9 +6,12 @@
 //! byte in a packed image or checkpoint is *guaranteed* caught — the
 //! property the corruption proptests lean on.
 
-/// The reflected CRC-32 table, built at compile time.
-const TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 tables, built at compile time: `TABLES[0]` is the
+/// classic reflected byte table, and `TABLES[t][b]` is the CRC of
+/// byte `b` followed by `t` zero bytes, so one lookup per byte of an
+/// 8-byte block folds the whole block in a single step.
+const TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -21,10 +24,20 @@ const TABLE: [u32; 256] = {
             };
             bit += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut t = 1;
+    while t < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[t - 1][i];
+            tables[t][i] = tables[0][(prev & 0xFF) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        t += 1;
+    }
+    tables
 };
 
 /// A streaming CRC-32 hasher.
@@ -37,11 +50,28 @@ impl Crc32 {
         Crc32(0xFFFF_FFFF)
     }
 
-    /// Absorbs bytes.
+    /// Absorbs bytes, eight per step (slicing-by-8), then the tail
+    /// byte by byte.
     pub fn update(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = TABLE[((self.0 ^ b as u32) & 0xFF) as usize] ^ (self.0 >> 8);
+        let t = &TABLES;
+        let mut crc = self.0;
+        let mut blocks = bytes.chunks_exact(8);
+        for block in &mut blocks {
+            let lo = crc ^ u32::from_le_bytes([block[0], block[1], block[2], block[3]]);
+            let hi = u32::from_le_bytes([block[4], block[5], block[6], block[7]]);
+            crc = t[7][(lo & 0xFF) as usize]
+                ^ t[6][((lo >> 8) & 0xFF) as usize]
+                ^ t[5][((lo >> 16) & 0xFF) as usize]
+                ^ t[4][(lo >> 24) as usize]
+                ^ t[3][(hi & 0xFF) as usize]
+                ^ t[2][((hi >> 8) & 0xFF) as usize]
+                ^ t[1][((hi >> 16) & 0xFF) as usize]
+                ^ t[0][(hi >> 24) as usize];
         }
+        for &b in blocks.remainder() {
+            crc = t[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
+        }
+        self.0 = crc;
     }
 
     /// The final checksum.
@@ -66,6 +96,32 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The byte-at-a-time loop: the oracle the sliced update is
+    /// checked against.
+    fn crc32_bytewise(state: u32, bytes: &[u8]) -> u32 {
+        bytes.iter().fold(state, |crc, &b| {
+            TABLES[0][((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8)
+        })
+    }
+
+    proptest! {
+        #[test]
+        fn sliced_update_matches_bytewise(
+            data in proptest::collection::vec(any::<u8>(), 0..300),
+            split in 0usize..300,
+        ) {
+            let want = crc32_bytewise(0xFFFF_FFFF, &data) ^ 0xFFFF_FFFF;
+            prop_assert_eq!(crc32(&data), want);
+            // Split updates: a block may straddle the two calls.
+            let split = split.min(data.len());
+            let mut h = Crc32::new();
+            h.update(&data[..split]);
+            h.update(&data[split..]);
+            prop_assert_eq!(h.finish(), want);
+        }
+    }
 
     #[test]
     fn known_vectors() {

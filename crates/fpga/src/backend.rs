@@ -196,8 +196,8 @@ impl FpgaBackend {
                     latency.core_cycles,
                 ));
             // Per-GEMM perf-model calibration: the analytic L_total
-            // (Section IV-A) against the cycle-accurate simulation,
-            // at the operand width the simulator itself accounts.
+            // (Section IV-A) against the cycle-level latency, at the
+            // operand width the accelerator model itself accounts.
             if let (&[n, k], &[_, m]) = (a.shape(), b.shape()) {
                 let bits = cfg.quant_a.format().bit_width();
                 let predicted = crate::perf::estimate_gemm(

@@ -3,7 +3,7 @@
 //! Training reuses the same weight matrices across thousands of
 //! launches, yet the eager path re-quantizes and re-packs every
 //! operand on every launch. [`OperandCache`] keys each operand by its
-//! *content* (an FNV-1a fingerprint of the raw `f32` carrier bits),
+//! *content* (an FNV-1a fingerprint over the raw `f32` carrier words),
 //! its layout `(rows, cols)` and the quantizer that will consume it —
 //! format, rounding mode and stochastic-rounding seed all change the
 //! quantized image, so all three participate in the key.
@@ -303,17 +303,17 @@ fn pack_image(quantized: &Tensor, q: &Quantizer) -> (Option<HbmImage>, usize) {
     }
 }
 
-/// FNV-1a over the raw bit patterns of the carrier. Bit patterns, not
-/// float values: `-0.0` and `0.0` (or two NaN payloads) quantize the
-/// same today, but distinguishing them costs nothing and keeps the
-/// cache correct under any future format.
+/// FNV-1a over the raw bit patterns of the carrier, one `u32` word
+/// per step. Bit patterns, not float values: `-0.0` and `0.0` (or two
+/// NaN payloads) quantize the same today, but distinguishing them
+/// costs nothing and keeps the cache correct under any future format.
+/// The key only has to spread operands; hits are confirmed by
+/// [`bits_equal`].
 fn carrier_fingerprint(data: &[f32]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for v in data {
-        for byte in v.to_bits().to_le_bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
+        h ^= u64::from(v.to_bits());
+        h = h.wrapping_mul(0x0000_0100_0000_01B3);
     }
     h
 }

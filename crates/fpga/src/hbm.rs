@@ -17,7 +17,7 @@
 
 use crate::config::HBM_PORT_BITS;
 use mpt_faults::crc::Crc32;
-use mpt_formats::NumberFormat;
+use mpt_formats::{FloatFormat, NumberFormat};
 use mpt_tensor::{ShapeError, Tensor};
 use std::fmt;
 
@@ -210,20 +210,23 @@ impl HbmImage {
     }
 }
 
-/// CRC-32 over the words' limbs in storage order.
+/// CRC-32 over the words' limbs in storage order (little-endian
+/// bytes), one 64-byte word per update.
 fn words_crc(words: &[[u64; 8]]) -> u32 {
     let mut h = Crc32::new();
+    let mut bytes = [0u8; 64];
     for w in words {
-        for limb in w {
-            h.update(&limb.to_le_bytes());
+        for (chunk, limb) in bytes.chunks_exact_mut(8).zip(w) {
+            chunk.copy_from_slice(&limb.to_le_bytes());
         }
+        h.update(&bytes);
     }
     h.finish()
 }
 
 fn encode(format: NumberFormat, v: f32) -> u64 {
     match format {
-        NumberFormat::Float(f) => f.encode(v as f64),
+        NumberFormat::Float(f) => encode_float(f, v),
         NumberFormat::Fixed(f) => f.encode(v as f64),
         // BFP shared exponents are stored out of band; pack mantissa
         // codes against the value's own exponent via the float codec
@@ -232,6 +235,33 @@ fn encode(format: NumberFormat, v: f32) -> u64 {
             unimplemented!("block FP uses out-of-band exponent packing")
         }
     }
+}
+
+/// [`FloatFormat::encode`] read straight off the `f32` bit fields.
+///
+/// A normal `f32` whose exponent lies in the format's normal range
+/// encodes as `sign | rebiased exponent | top man_bits of the
+/// mantissa` (quantization left the dropped low bits zero). Zeros,
+/// subnormals of either format, infinities and NaN take the generic
+/// codec, which re-quantizes in `f64`.
+fn encode_float(f: FloatFormat, v: f32) -> u64 {
+    let bits = v.to_bits();
+    let exp_field = (bits >> 23) & 0xFF;
+    let e = exp_field as i32 - 127;
+    let man_bits = f.man_bits();
+    let normal = exp_field != 0 && exp_field != 0xFF;
+    if normal && man_bits <= 23 && (f.min_exp()..=f.max_exp()).contains(&e) {
+        let dropped = 23 - man_bits;
+        debug_assert!(
+            bits & ((1 << dropped) - 1) == 0,
+            "{v} not representable in {f}"
+        );
+        let sign = u64::from(bits >> 31);
+        let biased = (e + f.bias()) as u64;
+        let man = u64::from((bits & 0x7F_FFFF) >> dropped);
+        return (sign << (f.exp_bits() + man_bits)) | (biased << man_bits) | man;
+    }
+    f.encode(v as f64)
 }
 
 fn decode(format: NumberFormat, code: u64) -> f32 {
@@ -270,7 +300,7 @@ fn read_bits(word: &[u64; 8], off: usize, len: usize) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mpt_formats::{FixedFormat, FloatFormat, Quantizer, Rounding};
+    use mpt_formats::{FixedFormat, Quantizer, Rounding};
 
     fn quantized(rows: usize, cols: usize, q: Quantizer) -> Tensor {
         let mut t = Tensor::from_fn(vec![rows, cols], |i| ((i * 37 % 101) as f32 - 50.0) * 0.07);
@@ -388,5 +418,36 @@ mod tests {
         let t = Tensor::from_vec(vec![1, 4], vec![-1.5, -0.25, 0.0, -57344.0]).unwrap();
         let img = HbmImage::pack(&t, fmt).unwrap();
         assert_eq!(img.unpack().unwrap(), t);
+    }
+
+    #[test]
+    fn bit_field_encoder_matches_codec_on_every_code() {
+        let bases = [
+            FloatFormat::e5m2(),
+            FloatFormat::e4m3(),
+            FloatFormat::e6m5(),
+            FloatFormat::e5m10(),
+            FloatFormat::bf16(),
+        ];
+        for base in bases {
+            for f in [base, base.without_subnormals(), base.with_infinities()] {
+                let mut checked = 0u32;
+                for code in 0..1u64 << f.bit_width() {
+                    let x = f.decode(code);
+                    if x.is_nan() || !f.is_representable(x) {
+                        continue;
+                    }
+                    let v = x as f32;
+                    assert_eq!(v as f64, x, "{f} code {code:#x} is not an f32");
+                    assert_eq!(
+                        encode_float(f, v),
+                        f.encode(x),
+                        "{f:?} code {code:#x} value {x}"
+                    );
+                    checked += 1;
+                }
+                assert!(checked > 1 << (f.bit_width() - 2), "{f:?}: {checked} codes");
+            }
+        }
     }
 }

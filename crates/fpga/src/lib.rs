@@ -7,18 +7,20 @@
 //!
 //! Three layers of fidelity:
 //!
-//! * **Functional** ([`sim`]) — executes a GEMM through the tiled,
-//!   partitioned systolic schedule using the *same* bit-accurate MAC
-//!   as CPU emulation ([`mpt_arith::mac_step`]), so results are
-//!   bitwise identical to `mpt_arith::qgemm` (the paper's bit-level
-//!   accuracy claim, verified by integration tests).
+//! * **Functional** ([`sim::Accelerator::execute`]) — takes its bits
+//!   from the tiered [`mpt_arith`] kernels on host-quantized operands,
+//!   so results are bitwise identical to `mpt_arith::qgemm` (the
+//!   paper's bit-level accuracy claim). The cycle-level oracle
+//!   [`sim::Accelerator::simulate_cycles`] runs the tiled, partitioned
+//!   systolic schedule through the *same* bit-accurate MAC as CPU
+//!   emulation ([`mpt_arith::mac_step`]); tests assert it agrees.
 //! * **Analytic** ([`perf`]) — the paper's performance model: the
 //!   three padding stages, `L_MAC`, `L_write`, `L_data`, `L_total`.
-//! * **"Measured"** ([`sim::Accelerator::execute`]) — cycle counting
-//!   over the schedule plus the non-idealities the paper reports
-//!   (PCIe capped at 80% of peak, per-tile pipeline fill), so
-//!   measured latency lands slightly above the estimate with the
-//!   optimum preserved (Fig. 7).
+//! * **"Measured"** ([`sim::Accelerator::timing_only`]) — the closed
+//!   form of the oracle's cycle count plus the non-idealities the
+//!   paper reports (PCIe capped at 80% of peak, per-tile pipeline
+//!   fill), so measured latency lands slightly above the estimate
+//!   with the optimum preserved (Fig. 7).
 //!
 //! The synthesis results of Table III/IV are embedded as the static
 //! configuration database ([`synthesis::SynthesisDb`]) exactly as the

@@ -80,6 +80,17 @@ impl PaddedGemm {
             + self.k_mem * self.m_mem         // second input matrix
             + cores * self.n_core * self.m_mem // output matrix
     }
+
+    /// PCIe bytes `(in, out)` of one launch with `bits`-wide elements:
+    /// both inputs go in and the result streams back packed at the
+    /// operand width (the host casts to FP32 after the transfer) —
+    /// the [`pcie_elements`](Self::pcie_elements) split by direction.
+    pub fn pcie_bytes(&self, cores: usize, bits: u32) -> (f64, f64) {
+        let in_elems = cores * self.n_core * self.k_mem + self.k_mem * self.m_mem;
+        let out_elems = cores * self.n_core * self.m_mem;
+        let bytes = |elems: usize| elems as f64 * bits as f64 / 8.0;
+        (bytes(in_elems), bytes(out_elems))
+    }
 }
 
 #[cfg(test)]

@@ -14,9 +14,11 @@
 //! launch i+2             [pack][xfer][ compute ][unpack]
 //! ```
 //!
-//! * **Functionally** nothing changes: results stay bit-identical to
-//!   the eager simulator and CPU emulation (the conformance oracles
-//!   run this path). The operand cache skips re-quantizing and
+//! * **Functionally** nothing changes: the compute stage is
+//!   [`Accelerator::execute_quantized`], whose bits come from the
+//!   `mpt-arith` kernels, so results stay bit-identical to the eager
+//!   path, CPU emulation and the cycle-level oracle (the conformance
+//!   suite runs this path). The operand cache skips re-quantizing and
 //!   re-packing resident operands, which is also bit-transparent
 //!   because quantization is a pure function of (bits, quantizer).
 //! * **Latency** is accounted by [`PipelineClock`]: each launch's
@@ -25,9 +27,11 @@
 //!   flushed queue reports the overlapped makespan — fill time plus
 //!   the per-launch bottleneck stage, not the eager sum.
 //! * **Host wall-clock** can genuinely overlap too:
-//!   [`PipelinedExecutor::execute_batch`] runs the emulated compute
-//!   stage on the persistent `mpt-arith` worker pool while the caller
-//!   thread packs the next launch (double buffering, depth 1).
+//!   [`PipelinedExecutor::execute_batch`] runs the compute stage on
+//!   the persistent `mpt-arith` worker pool, single-threaded inside
+//!   its job, while the caller thread packs the next launch (double
+//!   buffering, depth 1). Single launches fan their compute out over
+//!   the pool's tiles instead.
 //!
 //! Faults replay the *failed stage*, not the whole queue: a corrupted
 //! HBM transfer re-sends the resident image (the pack stage's work is
@@ -37,9 +41,8 @@
 
 use crate::cache::{CacheStats, OperandCache};
 use crate::config::{PCIE_EFFICIENCY, PCIE_GBPS};
-use crate::padding::PaddedGemm;
-use crate::sim::{Accelerator, LAUNCH_OVERHEAD_S};
-use mpt_arith::{pool_execute, GemmShape, QGemmConfig};
+use crate::sim::Accelerator;
+use mpt_arith::{default_threads, pool_execute, GemmShape, QGemmConfig};
 use mpt_faults::{FaultSite, Injector, RetryPolicy};
 use mpt_tensor::{ShapeError, Tensor};
 use std::sync::mpsc;
@@ -375,13 +378,16 @@ impl PipelinedExecutor {
         let _xfer_span = mpt_telemetry::span("fpga:transfer");
         drop(_xfer_span);
         let compute_span = mpt_telemetry::span("fpga:compute");
-        let (out, latency) =
-            self.accelerator
-                .execute_quantized(&fa.quantized, &fb.quantized, cfg)?;
+        let (out, _) = self.accelerator.execute_quantized(
+            fa.quantized,
+            &fb.quantized,
+            cfg,
+            default_threads(),
+        )?;
         drop(compute_span);
         let _unpack_span = mpt_telemetry::span("fpga:unpack");
 
-        let times = self.stage_times(a, b, cfg, packed_bytes, latency.core_s);
+        let times = self.stage_times(a, b, cfg, packed_bytes);
         self.account_launch(&times);
         Ok((out, times))
     }
@@ -456,10 +462,13 @@ impl PipelinedExecutor {
             }
         }
 
-        let (out, latency) =
-            self.accelerator
-                .execute_quantized(&fa.quantized, &fb.quantized, cfg)?;
-        let mut times = self.stage_times(a, b, cfg, packed_bytes, latency.core_s);
+        let (out, _) = self.accelerator.execute_quantized(
+            fa.quantized,
+            &fb.quantized,
+            cfg,
+            default_threads(),
+        )?;
+        let mut times = self.stage_times(a, b, cfg, packed_bytes);
         // Charge the replayed stages their extra passes.
         times.transfer_s *= 1.0 + transfer_replays as f64;
         times.compute_s *= 1.0 + compute_replays as f64;
@@ -490,11 +499,7 @@ impl PipelinedExecutor {
             let fa = self.cache.get_or_pack(a, &cfg.quant_a)?;
             let fb = self.cache.get_or_pack(b, &cfg.quant_b)?;
             let packed_bytes = missed_bytes(&fa) + missed_bytes(&fb);
-            let core_s = self
-                .accelerator
-                .timing_only(shape_of(a, b)?, cfg.quant_a.format().bit_width())
-                .core_s;
-            let times = self.stage_times(a, b, cfg, packed_bytes, core_s);
+            let times = self.stage_times(a, b, cfg, packed_bytes);
             self.account_launch(&times);
 
             // Double buffering: at most one compute stage in flight.
@@ -505,9 +510,10 @@ impl PipelinedExecutor {
             }
             let acc = self.accelerator.clone();
             let (aq, bq, cfg, tx) = (fa.quantized, fb.quantized, *cfg, tx.clone());
+            // Single-threaded: a pool job must not wait on pool tiles.
             pool_execute(move || {
                 let out = acc
-                    .execute_quantized(&aq, &bq, &cfg)
+                    .execute_quantized(aq, &bq, &cfg, 1)
                     .expect("shapes checked before submit")
                     .0;
                 let _ = tx.send((i, out));
@@ -599,11 +605,7 @@ impl PipelinedExecutor {
                 continue;
             }
 
-            let core_s = self
-                .accelerator
-                .timing_only(shape_of(a, b)?, cfg.quant_a.format().bit_width())
-                .core_s;
-            let mut times = self.stage_times(a, b, cfg, packed_bytes, core_s);
+            let mut times = self.stage_times(a, b, cfg, packed_bytes);
             times.transfer_s *= 1.0 + transfer_replays as f64;
             times.compute_s *= 1.0 + compute_replays as f64;
             self.account_launch(&times);
@@ -615,9 +617,10 @@ impl PipelinedExecutor {
             }
             let acc = self.accelerator.clone();
             let (aq, bq, cfg, tx) = (fa.quantized, fb.quantized, *cfg, tx.clone());
+            // Single-threaded: a pool job must not wait on pool tiles.
             pool_execute(move || {
                 let out = acc
-                    .execute_quantized(&aq, &bq, &cfg)
+                    .execute_quantized(aq, &bq, &cfg, 1)
                     .expect("shapes checked before submit")
                     .0;
                 let _ = tx.send((i, out));
@@ -636,29 +639,27 @@ impl PipelinedExecutor {
     /// Models the four stage durations of one launch. `packed_bytes`
     /// is what the pack stage actually produced (zero on full cache
     /// hits — resident images are already device-side, so the
-    /// transfer stage moves nothing either); the unpack stage always
-    /// streams the padded result back at the operand width, exactly
-    /// like the eager simulator's accounting.
+    /// transfer stage moves nothing either); compute and unpack are
+    /// the accelerator's [`Accelerator::stage_timing`] — the
+    /// closed-form core time plus launch overhead, and the padded
+    /// result streamed back at the operand width, exactly like the
+    /// eager path's accounting.
     fn stage_times(
         &self,
         a: &Tensor,
         b: &Tensor,
         cfg: &QGemmConfig,
         packed_bytes: usize,
-        core_s: f64,
     ) -> StageTimes {
         let shape = shape_of(a, b).expect("shapes pre-checked");
-        let bits = cfg.quant_a.format().bit_width();
-        let padded = PaddedGemm::new(shape, self.accelerator.config(), bits);
-        let bw = PCIE_GBPS * 1.0e9 * PCIE_EFFICIENCY;
-        let out_bytes = (self.accelerator.config().c() * padded.n_core * padded.m_mem) as f64
-            * bits as f64
-            / 8.0;
+        let (_, compute_s, unpack_s) = self
+            .accelerator
+            .stage_timing(shape, cfg.quant_a.format().bit_width());
         StageTimes {
             pack_s: packed_bytes as f64 / (HOST_PACK_GBPS * 1.0e9),
-            transfer_s: packed_bytes as f64 / bw,
-            compute_s: core_s + LAUNCH_OVERHEAD_S,
-            unpack_s: out_bytes / bw,
+            transfer_s: packed_bytes as f64 / (PCIE_GBPS * 1.0e9 * PCIE_EFFICIENCY),
+            compute_s,
+            unpack_s,
         }
     }
 }

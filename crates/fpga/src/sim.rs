@@ -1,26 +1,41 @@
-//! Functional + cycle-level simulation of the multicore accelerator.
+//! The multicore accelerator: functional results plus modeled
+//! latency for one GEMM launch.
 //!
-//! [`Accelerator::execute`] runs one GEMM exactly the way the
-//! hardware does: host-side stage-1/2 padding, row partitioning of
-//! `A` across cores, fabric-side stage-3 padding, then a tiled
-//! systolic schedule per core in which every reduction step goes
-//! through the same [`mpt_arith::mac_step`] as CPU emulation —
-//! making the functional result **bitwise identical** to
-//! [`mpt_arith::qgemm()`] (the paper's bit-level accuracy claim).
-//! Fully-identity pipelines are the one exception: CPU paths dispatch
-//! them to the plain FP32 GEMM, so the PEs step with the same
-//! separate product/sum roundings instead of the fused MAC.
+//! [`Accelerator::execute`] takes its **bits** from the tiered
+//! [`mpt_arith`] kernels ([`mpt_arith::qgemm_quantized`] on operands
+//! quantized the way the host does before packing HBM words) and its
+//! **cycles** from [`Accelerator::timing_only`], the closed form of
+//! the systolic schedule. Every FPGA path — the eager backend, the
+//! pipelined executor, `core::FpgaDevice` and the serving
+//! dispatcher's batches — runs through it.
 //!
-//! Cycle counting follows the schedule and adds the measured-world
-//! non-idealities the paper reports: PCIe throughput capped at ~80%
-//! of peak and per-launch/pipeline-fill overheads — so measured
-//! latency lands slightly above the analytic estimate while
-//! preserving which configuration is optimal (Fig. 7).
+//! [`Accelerator::simulate_cycles`] is the **test oracle** that
+//! justifies both halves: it executes the hardware schedule itself
+//! (host-side stage-1/2 padding, row partitioning of `A` across
+//! cores, fabric-side stage-3 padding, then a tiled systolic loop per
+//! core in which every reduction step goes through the same
+//! [`mpt_arith::mac_step`] as CPU emulation) and counts its cycles.
+//! Conformance and the bit-equality tests assert that its result is
+//! bitwise identical to [`mpt_arith::qgemm_reference`] and to
+//! `execute` (the paper's bit-level accuracy claim), and that its
+//! cycle count equals the closed form. Like `qgemm_reference`, no
+//! backend calls it. Fully-identity pipelines are the one stepping
+//! exception: CPU paths dispatch them to the plain FP32 GEMM, so the
+//! oracle's PEs step with the same separate product/sum roundings
+//! instead of the fused MAC.
+//!
+//! Latency adds the measured-world non-idealities the paper reports:
+//! PCIe throughput capped at ~80% of peak and per-launch/pipeline-fill
+//! overheads — so measured latency lands slightly above the analytic
+//! estimate while preserving which configuration is optimal (Fig. 7).
 
 use crate::config::{SaConfig, PCIE_EFFICIENCY, PCIE_GBPS};
 use crate::padding::PaddedGemm;
-use mpt_arith::{mac_step, quantize_matrix, GemmShape, QGemmConfig};
+use mpt_arith::{
+    default_threads, mac_step, qgemm_quantized, quantize_matrix, GemmShape, QGemmConfig,
+};
 use mpt_tensor::{ShapeError, Tensor};
+use std::sync::Arc;
 
 /// Per-GEMM kernel launch overhead (OpenCL enqueue + sync), seconds.
 pub const LAUNCH_OVERHEAD_S: f64 = 30.0e-6;
@@ -79,11 +94,13 @@ impl Accelerator {
         self.freq_mhz
     }
 
-    /// Executes `A · B` on the simulated hardware with `A` partitioned
+    /// Executes `A · B` on the accelerator with `A` partitioned
     /// row-wise across the cores (the canonical mapping; apply
-    /// transposition at the caller for other mappings).
+    /// transposition at the caller for other mappings), fanning the
+    /// arithmetic out over [`default_threads`] pool tiles.
     ///
-    /// Functionally bit-identical to `mpt_arith::qgemm(a, b, cfg)`.
+    /// Functionally bit-identical to `mpt_arith::qgemm(a, b, cfg)`;
+    /// latency is [`timing_only`](Accelerator::timing_only).
     ///
     /// # Errors
     ///
@@ -95,31 +112,22 @@ impl Accelerator {
         b: &Tensor,
         cfg: &QGemmConfig,
     ) -> Result<(Tensor, MeasuredLatency), ShapeError> {
-        let (_, k) = a.as_matrix()?;
-        let (k2, _) = b.as_matrix()?;
-        if k != k2 {
-            return Err(ShapeError::Mismatch {
-                left: a.shape().to_vec(),
-                right: b.shape().to_vec(),
-                op: "Accelerator::execute",
-            });
-        }
-        // Host: quantize (as the host does before packing HBM words),
-        // then run the quantized operands through the fabric schedule.
-        let aq = quantize_matrix(a, &cfg.quant_a, 0, 0);
-        let bq = quantize_matrix(b, &cfg.quant_b, 0, 0);
-        self.execute_quantized(&aq, &bq, cfg)
+        let (aq, bq) = quantize_operands(a, b, cfg, "Accelerator::execute")?;
+        self.execute_quantized(Arc::new(aq), &bq, cfg, default_threads())
     }
 
     /// Executes `A · B` where both operands have **already** been
     /// quantized with `cfg`'s quantizers at global coordinates
-    /// (offsets `(0, 0)`), skipping the host-side quantization stage.
+    /// (offsets `(0, 0)`), skipping the host-side quantization stage,
+    /// on up to `threads` pool tiles.
     ///
     /// This is the compute stage of the pipelined executor
     /// ([`crate::pipeline::PipelinedExecutor`]): the operand cache
     /// holds quantized carriers, so a cache hit must not re-quantize.
     /// `execute(a, b, cfg)` is exactly
-    /// `execute_quantized(quantize(a), quantize(b), cfg)`.
+    /// `execute_quantized(quantize(a), quantize(b), cfg, default_threads())`.
+    /// A call made from a job already on the worker pool must pass
+    /// `threads = 1` (see [`mpt_arith::pool_execute`]).
     ///
     /// # Errors
     ///
@@ -127,19 +135,41 @@ impl Accelerator {
     /// matrices.
     pub fn execute_quantized(
         &self,
-        aq: &Tensor,
+        aq: Arc<Tensor>,
         bq: &Tensor,
         cfg: &QGemmConfig,
+        threads: usize,
     ) -> Result<(Tensor, MeasuredLatency), ShapeError> {
         let (n, k) = aq.as_matrix()?;
-        let (k2, m) = bq.as_matrix()?;
-        if k != k2 {
-            return Err(ShapeError::Mismatch {
-                left: aq.shape().to_vec(),
-                right: bq.shape().to_vec(),
-                op: "Accelerator::execute_quantized",
-            });
-        }
+        let (_, m) = bq.as_matrix()?;
+        let out = qgemm_quantized(aq, bq, cfg, threads)?;
+        let latency = self.timing_only(GemmShape::new(n, k, m), cfg.quant_a.format().bit_width());
+        Ok((out, latency))
+    }
+
+    /// The cycle-level **test oracle**: runs `A · B` through the
+    /// hardware schedule itself — stage-1/2 padding, row partitioning
+    /// across cores, stage-3 padding, and the tiled systolic loop of
+    /// [`mac_step`]s per core — counting cycles as it goes.
+    ///
+    /// Tests and conformance compare it against
+    /// [`mpt_arith::qgemm_reference`], [`execute`](Accelerator::execute)
+    /// and [`timing_only`](Accelerator::timing_only); no execution
+    /// path calls it.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ShapeError`] if the operands are not conforming
+    /// matrices.
+    pub fn simulate_cycles(
+        &self,
+        a: &Tensor,
+        b: &Tensor,
+        cfg: &QGemmConfig,
+    ) -> Result<(Tensor, MeasuredLatency), ShapeError> {
+        let (aq, bq) = quantize_operands(a, b, cfg, "Accelerator::simulate_cycles")?;
+        let (n, k) = aq.as_matrix()?;
+        let (_, m) = bq.as_matrix()?;
         let shape = GemmShape::new(n, k, m);
         let bits = cfg.quant_a.format().bit_width();
         let padded = PaddedGemm::new(shape, self.config, bits);
@@ -180,11 +210,7 @@ impl Accelerator {
         // Results stream back packed at the operand width (the host
         // casts to FP32 after the transfer), matching the model's
         // uniform S_data accounting.
-        let in_bytes = (self.config.c() * padded.n_core * padded.k_mem
-            + padded.k_mem * padded.m_mem) as f64
-            * bits as f64
-            / 8.0;
-        let out_bytes = (self.config.c() * padded.n_core * padded.m_mem) as f64 * bits as f64 / 8.0;
+        let (in_bytes, out_bytes) = padded.pcie_bytes(self.config.c(), bits);
         let data_s = (in_bytes + out_bytes) / (PCIE_GBPS * 1.0e9 * PCIE_EFFICIENCY);
         let total_s = core_s + data_s + LAUNCH_OVERHEAD_S;
         Ok((
@@ -200,11 +226,10 @@ impl Accelerator {
 
     /// Cycle-level latency of one GEMM **without** executing the
     /// arithmetic: the closed form of the exact cycle counting
-    /// performed by [`execute`](Accelerator::execute)'s schedule,
-    /// usable at paper-scale problem sizes where functional
-    /// simulation would be prohibitive.
+    /// performed by the [`simulate_cycles`](Accelerator::simulate_cycles)
+    /// schedule, and the latency every launch reports.
     ///
-    /// Guaranteed to match `execute`'s `core_cycles` (asserted by
+    /// Guaranteed to match the oracle's `core_cycles` (asserted by
     /// tests).
     pub fn timing_only(&self, shape: GemmShape, in_bits: u32) -> MeasuredLatency {
         let padded = PaddedGemm::new(shape, self.config, in_bits);
@@ -217,12 +242,7 @@ impl Accelerator {
         let core_cycles = tiles * per_tile;
         let f = self.freq_mhz * 1.0e6;
         let core_s = core_cycles as f64 / f;
-        let in_bytes = (self.config.c() * padded.n_core * padded.k_mem
-            + padded.k_mem * padded.m_mem) as f64
-            * in_bits as f64
-            / 8.0;
-        let out_bytes =
-            (self.config.c() * padded.n_core * padded.m_mem) as f64 * in_bits as f64 / 8.0;
+        let (in_bytes, out_bytes) = padded.pcie_bytes(self.config.c(), in_bits);
         let data_s = (in_bytes + out_bytes) / (PCIE_GBPS * 1.0e9 * PCIE_EFFICIENCY);
         MeasuredLatency {
             core_cycles,
@@ -242,12 +262,7 @@ impl Accelerator {
     pub fn stage_timing(&self, shape: GemmShape, in_bits: u32) -> (f64, f64, f64) {
         let padded = PaddedGemm::new(shape, self.config, in_bits);
         let lat = self.timing_only(shape, in_bits);
-        let in_bytes = (self.config.c() * padded.n_core * padded.k_mem
-            + padded.k_mem * padded.m_mem) as f64
-            * in_bits as f64
-            / 8.0;
-        let out_bytes =
-            (self.config.c() * padded.n_core * padded.m_mem) as f64 * in_bits as f64 / 8.0;
+        let (in_bytes, out_bytes) = padded.pcie_bytes(self.config.c(), in_bits);
         let bw = PCIE_GBPS * 1.0e9 * PCIE_EFFICIENCY;
         (
             in_bytes / bw,
@@ -316,6 +331,29 @@ impl Accelerator {
     }
 }
 
+/// Host-side quantization of both operands at global coordinates —
+/// what the host does before packing HBM words.
+fn quantize_operands(
+    a: &Tensor,
+    b: &Tensor,
+    cfg: &QGemmConfig,
+    op: &'static str,
+) -> Result<(Tensor, Tensor), ShapeError> {
+    let (_, k) = a.as_matrix()?;
+    let (k2, _) = b.as_matrix()?;
+    if k != k2 {
+        return Err(ShapeError::Mismatch {
+            left: a.shape().to_vec(),
+            right: b.shape().to_vec(),
+            op,
+        });
+    }
+    Ok((
+        quantize_matrix(a, &cfg.quant_a, 0, 0),
+        quantize_matrix(b, &cfg.quant_b, 0, 0),
+    ))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -333,7 +371,7 @@ mod tests {
         let (a, b) = operands(10, 20, 6);
         let acc = Accelerator::new(SaConfig::new(4, 2, 3).unwrap(), 311.0);
         let cfg = QGemmConfig::fp32();
-        let (c, _) = acc.execute(&a, &b, &cfg).unwrap();
+        let (c, _) = acc.simulate_cycles(&a, &b, &cfg).unwrap();
         assert_eq!(c, qgemm(&a, &b, &cfg).unwrap());
     }
 
@@ -346,7 +384,7 @@ mod tests {
         for (n, m, c) in [(2, 2, 2), (4, 4, 1), (8, 8, 3)] {
             let acc = Accelerator::new(SaConfig::new(n, m, c).unwrap(), 200.0);
             let cfg = QGemmConfig::fp8_fp12_sr().with_seed(77);
-            let (got, _) = acc.execute(&a, &b, &cfg).unwrap();
+            let (got, _) = acc.simulate_cycles(&a, &b, &cfg).unwrap();
             let want = qgemm(&a, &b, &cfg).unwrap();
             assert_eq!(got, want, "config <{n},{m},{c}>");
         }
@@ -358,8 +396,8 @@ mod tests {
         let cfg = QGemmConfig::fp8_fp12_sr().with_seed(5);
         let one = Accelerator::new(SaConfig::new(8, 4, 1).unwrap(), 197.7);
         let many = Accelerator::new(SaConfig::new(8, 4, 10).unwrap(), 197.7);
-        let (r1, _) = one.execute(&a, &b, &cfg).unwrap();
-        let (r10, _) = many.execute(&a, &b, &cfg).unwrap();
+        let (r1, _) = one.simulate_cycles(&a, &b, &cfg).unwrap();
+        let (r10, _) = many.simulate_cycles(&a, &b, &cfg).unwrap();
         assert_eq!(r1, r10, "core count changed results");
     }
 
@@ -369,8 +407,8 @@ mod tests {
         let cfg = QGemmConfig::fp8_fp12_sr();
         let (a1, b1) = operands(64, 64, 64);
         let (a2, b2) = operands(64, 128, 64);
-        let (_, l1) = acc.execute(&a1, &b1, &cfg).unwrap();
-        let (_, l2) = acc.execute(&a2, &b2, &cfg).unwrap();
+        let (_, l1) = acc.simulate_cycles(&a1, &b1, &cfg).unwrap();
+        let (_, l2) = acc.simulate_cycles(&a2, &b2, &cfg).unwrap();
         assert!(l2.core_cycles > l1.core_cycles);
         assert!(l2.core_cycles < 3 * l1.core_cycles);
     }
@@ -384,7 +422,7 @@ mod tests {
         let cfg = QGemmConfig::fp8_fp12_sr();
         let sa = SaConfig::new(8, 8, 4).unwrap();
         let acc = Accelerator::new(sa, 298.0);
-        let (_, measured) = acc.execute(&a, &b, &cfg).unwrap();
+        let (_, measured) = acc.simulate_cycles(&a, &b, &cfg).unwrap();
         let est = estimate_gemm(GemmShape::new(128, 96, 80), sa, 298.0, 8, 32);
         assert!(
             measured.total_s > est.total_s,
@@ -401,14 +439,40 @@ mod tests {
         let (a, b) = operands(512, 128, 128);
         let cfg = QGemmConfig::fp8_fp12_sr();
         let l1 = Accelerator::new(SaConfig::new(8, 8, 1).unwrap(), 200.0)
-            .execute(&a, &b, &cfg)
+            .simulate_cycles(&a, &b, &cfg)
             .unwrap()
             .1;
         let l8 = Accelerator::new(SaConfig::new(8, 8, 8).unwrap(), 200.0)
-            .execute(&a, &b, &cfg)
+            .simulate_cycles(&a, &b, &cfg)
             .unwrap()
             .1;
         assert!(l8.core_s < l1.core_s / 4.0);
+    }
+
+    #[test]
+    fn execute_matches_oracle_bits_and_latency() {
+        let (a, b) = operands(37, 29, 21);
+        let configs = [
+            QGemmConfig::fp32(),
+            QGemmConfig::fp8_fp12_sr().with_seed(11),
+            QGemmConfig::for_mac(mpt_arith::MacConfig::fxp4_4(
+                mpt_formats::Rounding::stochastic(),
+            ))
+            .with_seed(12),
+        ];
+        for cfg in configs {
+            for (n, m, c) in [(2, 2, 2), (8, 4, 3)] {
+                let acc = Accelerator::new(SaConfig::new(n, m, c).unwrap(), 250.0);
+                let oracle = acc.simulate_cycles(&a, &b, &cfg).unwrap();
+                for threads in [1, 3] {
+                    let aq = Arc::new(quantize_matrix(&a, &cfg.quant_a, 0, 0));
+                    let bq = quantize_matrix(&b, &cfg.quant_b, 0, 0);
+                    let fast = acc.execute_quantized(aq, &bq, &cfg, threads).unwrap();
+                    assert_eq!(fast, oracle, "{cfg} on <{n},{m},{c}> x{threads}");
+                }
+                assert_eq!(acc.execute(&a, &b, &cfg).unwrap(), oracle, "{cfg}");
+            }
+        }
     }
 
     #[test]
@@ -418,7 +482,7 @@ mod tests {
             let acc = Accelerator::new(SaConfig::new(n, m, c).unwrap(), 250.0);
             for shape in [(13, 29, 7), (64, 64, 64), (1, 1, 1), (100, 37, 65)] {
                 let (a, b) = operands(shape.0, shape.1, shape.2);
-                let (_, measured) = acc.execute(&a, &b, &cfg).unwrap();
+                let (_, measured) = acc.simulate_cycles(&a, &b, &cfg).unwrap();
                 let quick = acc.timing_only(GemmShape::new(shape.0, shape.1, shape.2), 8);
                 assert_eq!(
                     measured.core_cycles, quick.core_cycles,
@@ -434,5 +498,6 @@ mod tests {
         let a = Tensor::zeros(vec![3, 4]);
         let b = Tensor::zeros(vec![5, 2]);
         assert!(acc.execute(&a, &b, &QGemmConfig::fp32()).is_err());
+        assert!(acc.simulate_cycles(&a, &b, &QGemmConfig::fp32()).is_err());
     }
 }

@@ -56,7 +56,7 @@ fn fpga_equals_emulation_for_every_mac_config() {
         let want = qgemm(&a, &b, &cfg).expect("emulation");
         for (n, m, c) in [(2, 2, 3), (8, 8, 2), (16, 8, 5)] {
             let acc = Accelerator::new(SaConfig::new(n, m, c).expect("valid"), 200.0);
-            let (got, _) = acc.execute(&a, &b, &cfg).expect("fpga");
+            let (got, _) = acc.simulate_cycles(&a, &b, &cfg).expect("fpga");
             assert_eq!(got, want, "{name} on <{n},{m},{c}>");
         }
     }
@@ -77,7 +77,7 @@ fn fpga_equals_emulation_across_many_shapes() {
     ] {
         let (a, b) = operands(n, k, m, (n * 1000 + k * 10 + m) as u64);
         let want = qgemm(&a, &b, &cfg).expect("emulation");
-        let (got, _) = acc.execute(&a, &b, &cfg).expect("fpga");
+        let (got, _) = acc.simulate_cycles(&a, &b, &cfg).expect("fpga");
         assert_eq!(got, want, "shape ({n},{k},{m})");
     }
 }
@@ -108,7 +108,7 @@ fn block_fp_operands_agree_between_paths() {
     let (a, b) = operands(9, 33, 6, 11);
     let want = qgemm(&a, &b, &cfg).expect("emulation");
     let acc = Accelerator::new(SaConfig::new(4, 4, 2).expect("valid"), 328.4);
-    let (got, _) = acc.execute(&a, &b, &cfg).expect("fpga");
+    let (got, _) = acc.simulate_cycles(&a, &b, &cfg).expect("fpga");
     assert_eq!(got, want);
 }
 
@@ -127,6 +127,6 @@ fn emulated_training_step_matches_fpga_gemm_results() {
     let y = g.matmul_q(xn, wn, prec);
 
     let acc = Accelerator::new(SaConfig::new(8, 8, 2).expect("valid"), 330.9);
-    let (direct, _) = acc.execute(&x, &wt, &prec.fwd).expect("fpga");
+    let (direct, _) = acc.simulate_cycles(&x, &wt, &prec.fwd).expect("fpga");
     assert_eq!(g.value(y), &direct);
 }

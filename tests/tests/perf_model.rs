@@ -2,11 +2,13 @@
 //! algorithm against the paper's reported behaviour (Tables III/IV,
 //! Fig. 7).
 
+use mpt_arith::QGemmConfig;
 use mpt_core::matching::{
     estimate_iteration, measure_iteration, select_accelerator, sweep_core_counts,
 };
-use mpt_fpga::{SaConfig, SynthesisDb};
+use mpt_fpga::{Accelerator, SaConfig, SynthesisDb};
 use mpt_models::ModelDesc;
+use mpt_tensor::Tensor;
 
 const IN_BITS: u32 = 8;
 
@@ -151,4 +153,30 @@ fn vgg_approaches_paper_optimum_at_full_cores() {
         "VGG16 at C=10: {:.3} s vs paper 1.10 s",
         c10.2
     );
+}
+
+/// Every launch reports the closed-form latency, so it must equal the
+/// cycle-level oracle's count on each of LeNet-5's 15 training GEMMs
+/// (batch 2 keeps the oracle cheap), with the same bits too.
+#[test]
+fn closed_form_matches_cycle_oracle_on_lenet_training_gemms() {
+    let acc = Accelerator::new(SaConfig::new(8, 8, 4).expect("valid"), 298.0);
+    let cfg = QGemmConfig::fp8_fp12_sr().with_seed(5);
+    let shapes = ModelDesc::lenet5(2).training_gemms();
+    assert_eq!(shapes.len(), 15);
+    for s in shapes {
+        let a = Tensor::from_fn(vec![s.n, s.k], |i| (i % 7) as f32 * 0.25 - 0.75);
+        let b = Tensor::from_fn(vec![s.k, s.m], |i| (i % 5) as f32 * 0.3 - 0.6);
+        let (bits, oracle) = acc.simulate_cycles(&a, &b, &cfg).expect("oracle");
+        assert_eq!(
+            oracle.core_cycles,
+            acc.timing_only(s, IN_BITS).core_cycles,
+            "{s:?}"
+        );
+        assert_eq!(
+            acc.execute(&a, &b, &cfg).expect("fast"),
+            (bits, oracle),
+            "{s:?}"
+        );
+    }
 }

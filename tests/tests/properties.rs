@@ -53,7 +53,7 @@ proptest! {
         let cfg = QGemmConfig::for_mac(mac).with_seed(seed);
         let want = qgemm(&a, &b, &cfg).expect("emulation");
         let acc = Accelerator::new(sa, 250.0);
-        let (got, lat) = acc.execute(&a, &b, &cfg).expect("fpga");
+        let (got, lat) = acc.simulate_cycles(&a, &b, &cfg).expect("fpga");
         prop_assert_eq!(got, want);
         prop_assert!(lat.total_s > 0.0);
     }
@@ -71,7 +71,7 @@ proptest! {
         let b = Tensor::zeros(vec![k, m]);
         let cfg = QGemmConfig::fp8_fp12_sr();
         let acc = Accelerator::new(sa, 250.0);
-        let (_, measured) = acc.execute(&a, &b, &cfg).expect("fpga");
+        let (_, measured) = acc.simulate_cycles(&a, &b, &cfg).expect("fpga");
         let quick = acc.timing_only(GemmShape::new(n, k, m), 8);
         prop_assert_eq!(measured.core_cycles, quick.core_cycles);
     }
